@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bindings"
@@ -419,13 +420,20 @@ func bindVar(t bindings.Tuple, name string, v bindings.Value) bool {
 }
 
 // Matcher is the Atomic Event Matcher service core: a set of registered
-// patterns evaluated against every published event. Safe for concurrent use.
+// patterns evaluated against every published event. Matching patterns are
+// detected in registration order. Safe for concurrent use.
 type Matcher struct {
-	mu       sync.Mutex
-	patterns map[string]*registration
+	mu sync.Mutex // serializes Register and Unregister
+	// regs is the registration-ordered snapshot OnEvent reads without a
+	// lock or an allocation. Writers never change an element a published
+	// snapshot can see: Register of a new key appends past the end of the
+	// current snapshot (amortized O(1)), and replacement and Unregister
+	// publish a modified copy.
+	regs atomic.Pointer[[]registration]
 }
 
 type registration struct {
+	key     string
 	pattern *Pattern
 	sink    func(Detection)
 }
@@ -440,47 +448,69 @@ type Detection struct {
 }
 
 // NewMatcher returns an empty matcher.
-func NewMatcher() *Matcher {
-	return &Matcher{patterns: map[string]*registration{}}
+func NewMatcher() *Matcher { return &Matcher{} }
+
+func (m *Matcher) snapshot() []registration {
+	if p := m.regs.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
-// Register adds a pattern under a key (replacing any previous registration
-// with that key); sink is called for each matching event.
+// Register adds a pattern under a key; sink is called for each matching
+// event. Registering an existing key replaces that registration in place,
+// keeping its position in the detection order.
 func (m *Matcher) Register(key string, p *Pattern, sink func(Detection)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.patterns[key] = &registration{p, sink}
+	old := m.snapshot()
+	r := registration{key, p, sink}
+	var next []registration
+	if i := indexOf(old, key); i >= 0 {
+		next = append([]registration(nil), old...)
+		next[i] = r
+	} else {
+		next = append(old, r)
+	}
+	m.regs.Store(&next)
 }
 
 // Unregister removes a registration and reports whether it existed.
 func (m *Matcher) Unregister(key string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.patterns[key]
-	delete(m.patterns, key)
-	return ok
+	old := m.snapshot()
+	i := indexOf(old, key)
+	if i < 0 {
+		return false
+	}
+	next := make([]registration, 0, len(old)-1)
+	next = append(append(next, old[:i]...), old[i+1:]...)
+	m.regs.Store(&next)
+	return true
+}
+
+func indexOf(regs []registration, key string) int {
+	for i := range regs {
+		if regs[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Len returns the number of registrations.
-func (m *Matcher) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.patterns)
-}
+func (m *Matcher) Len() int { return len(m.snapshot()) }
 
 // OnEvent matches all registered patterns against the event, delivering a
-// Detection per matching registration. It is the handler to subscribe to a
-// Stream.
+// Detection per matching registration, in registration order. It is the
+// handler to subscribe to a Stream.
 func (m *Matcher) OnEvent(ev Event) {
-	m.mu.Lock()
-	regs := make(map[string]*registration, len(m.patterns))
-	for k, r := range m.patterns {
-		regs[k] = r
-	}
-	m.mu.Unlock()
-	for key, r := range regs {
+	regs := m.snapshot()
+	for i := range regs {
+		r := &regs[i]
 		if ts := r.pattern.Match(ev); len(ts) > 0 {
-			r.sink(Detection{Key: key, Bindings: ts, Event: ev})
+			r.sink(Detection{Key: r.key, Bindings: ts, Event: ev})
 		}
 	}
 }

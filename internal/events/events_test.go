@@ -1,6 +1,8 @@
 package events
 
 import (
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -200,4 +202,87 @@ func TestBindingsAreIndependent(t *testing.T) {
 	if ts2[0]["A"].AsString() != "v" {
 		t.Error("pattern state leaked between matches")
 	}
+}
+
+// TestMatcherDetectsInRegistrationOrder pins the Stream's promise of a
+// deterministic detection order: every registration matching an event is
+// detected in registration order, on every event. A replaced key keeps its
+// position; an unregistered one leaves the others in order.
+func TestMatcherDetectsInRegistrationOrder(t *testing.T) {
+	m := NewMatcher()
+	var got []string
+	sink := func(d Detection) { got = append(got, d.Key) }
+	var want []string
+	for i := 0; i < 50; i++ {
+		key := fmt.Sprintf("rule-%02d", 49-i) // not in sorted order
+		m.Register(key, MustPattern(`<e n="$N"/>`), sink)
+		want = append(want, key)
+	}
+	ev := func() Event {
+		e := xmltree.NewElement("", "e")
+		e.SetAttr("", "n", "1")
+		return New(e)
+	}
+	for round := 0; round < 20; round++ {
+		got = nil
+		m.OnEvent(ev())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: detection order\n got %v\nwant %v", round, got, want)
+		}
+	}
+	m.Register(want[10], MustPattern(`<e n="$M"/>`), sink)
+	if !m.Unregister(want[20]) || m.Unregister("absent") {
+		t.Fatal("Unregister results")
+	}
+	want = append(want[:20:20], want[21:]...)
+	got = nil
+	m.OnEvent(ev())
+	if !reflect.DeepEqual(got, want) || m.Len() != 49 {
+		t.Fatalf("after replace and unregister: got %v (len %d)\nwant %v", got, m.Len(), want)
+	}
+}
+
+// TestMatcherOnEventReadsWithoutAllocating: with no registration matching,
+// an event costs only the patterns' own checks — OnEvent copies nothing.
+func TestMatcherOnEventReadsWithoutAllocating(t *testing.T) {
+	m := NewMatcher()
+	for i := 0; i < 100; i++ {
+		m.Register(fmt.Sprintf("k%d", i), MustPattern(`<other/>`), func(Detection) { t.Error("unexpected detection") })
+	}
+	ev := New(xmltree.NewElement("", "e"))
+	if n := testing.AllocsPerRun(20, func() { m.OnEvent(ev) }); n != 0 {
+		t.Errorf("OnEvent allocs = %v, want 0", n)
+	}
+}
+
+// TestMatcherSnapshotsUnderChurn: events published while registrations are
+// added see a consistent snapshot — a prefix of the registrations, in
+// order — and never a torn one (run with -race).
+func TestMatcherSnapshotsUnderChurn(t *testing.T) {
+	m := NewMatcher()
+	var got []string
+	sink := func(d Detection) { got = append(got, d.Key) }
+	e := xmltree.NewElement("", "e")
+	e.SetAttr("", "n", "1")
+	ev := New(e)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			m.Register(fmt.Sprintf("k%03d", i), MustPattern(`<e n="$N"/>`), sink)
+			if i%10 == 9 {
+				m.Register(fmt.Sprintf("k%03d", i-5), MustPattern(`<e n="$N"/>`), sink) // replace
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		got = got[:0]
+		m.OnEvent(ev)
+		for j, k := range got {
+			if want := fmt.Sprintf("k%03d", j); k != want {
+				t.Fatalf("event %d: detection %d is %s, want %s (%v)", i, j, k, want, got)
+			}
+		}
+	}
+	<-done
 }

@@ -124,3 +124,41 @@ func TestEngineErrBadExpression(t *testing.T) {
 		t.Fatalf("Register error %v does not match engine.ErrBadExpression", regErr)
 	}
 }
+
+// TestRegisterRejectsDeepNesting: an expression nested past the XPath and
+// XQuery parsers' depth limits is a 400 at registration. Before the limits,
+// compiling it overflowed the stack and killed the daemon.
+func TestRegisterRejectsDeepNesting(t *testing.T) {
+	sys, err := NewLocal(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(sys.Mux(nil, nil))
+	defer srv.Close()
+
+	const n = 100_000
+	deep := strings.Repeat("(", n) + "$X" + strings.Repeat(")", n)
+	for comp, rule := range map[string]string{
+		"test[1]": `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `" id="deep-test">
+	  <eca:event><t:ping x="$X"/></eca:event>
+	  <eca:test>` + deep + ` = '7'</eca:test>
+	  <eca:action><t:pong x="$X"/></eca:action>
+	</eca:rule>`,
+		"query[1]": `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `"
+	  xmlns:xq="` + services.XQueryNS + `" id="deep-query">
+	  <eca:event><t:ping x="$X"/></eca:event>
+	  <eca:query><xq:query>` + strings.Repeat("&lt;a>{", n) + "$X" + strings.Repeat("}&lt;/a>", n) + `</xq:query></eca:query>
+	  <eca:action><t:pong x="$X"/></eca:action>
+	</eca:rule>`,
+	} {
+		resp, err := http.Post(srv.URL+"/engine/rules", "application/xml", strings.NewReader(rule))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), comp) || !strings.Contains(string(body), "nested deeper") {
+			t.Errorf("%s: status %d body %.300q, want 400 naming the component and the nesting", comp, resp.StatusCode, body)
+		}
+	}
+}

@@ -166,12 +166,23 @@ func (n *Node) AttrValue(space, local string) string {
 // AttrNodes materializes the element's non-namespace attributes as synthetic
 // AttrNode nodes whose Parent is n. Repeated calls create fresh nodes.
 func (n *Node) AttrNodes() []*Node {
-	var out []*Node
+	k := 0
+	for _, a := range n.Attrs {
+		if !a.IsNamespaceDecl() {
+			k++
+		}
+	}
+	if k == 0 {
+		return nil
+	}
+	nodes := make([]Node, 0, k)
+	out := make([]*Node, 0, k)
 	for _, a := range n.Attrs {
 		if a.IsNamespaceDecl() {
 			continue
 		}
-		out = append(out, &Node{Kind: AttrNode, Name: a.Name, Text: a.Value, Parent: n})
+		nodes = append(nodes, Node{Kind: AttrNode, Name: a.Name, Text: a.Value, Parent: n})
+		out = append(out, &nodes[len(nodes)-1])
 	}
 	return out
 }
@@ -257,6 +268,9 @@ func (n *Node) TextContent() string {
 	}
 	if n.Kind == TextNode || n.Kind == AttrNode {
 		return n.Text
+	}
+	if len(n.Children) == 1 && n.Children[0].Kind == TextNode {
+		return n.Children[0].Text
 	}
 	var b strings.Builder
 	var walk func(*Node)

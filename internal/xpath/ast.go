@@ -1,10 +1,5 @@
 package xpath
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Expr is a compiled XPath expression. Compile once with Compile, then
 // evaluate against any context; compiled expressions are immutable and safe
 // for concurrent use.
@@ -54,15 +49,6 @@ var axisNames = map[string]axis{
 	"preceding":          axisPreceding,
 }
 
-func (a axis) String() string {
-	for n, ax := range axisNames {
-		if ax == a {
-			return n
-		}
-	}
-	return fmt.Sprintf("axis(%d)", int(a))
-}
-
 // testKind discriminates node tests.
 type testKind int
 
@@ -81,27 +67,16 @@ type nodeTest struct {
 	nodeType string // "node", "text", "comment"
 }
 
-func (t nodeTest) String() string {
-	switch t.kind {
-	case testAny:
-		return "*"
-	case testNSWildcard:
-		return t.prefix + ":*"
-	case testNodeType:
-		return t.nodeType + "()"
-	default:
-		if t.prefix != "" {
-			return t.prefix + ":" + t.local
-		}
-		return t.local
-	}
-}
-
 // step is one location step: axis::test[pred]...
 type step struct {
 	axis  axis
 	test  nodeTest
 	preds []exprNode
+	// deep marks a child step fused with the descendant-or-self::node()
+	// step before it (the '//' abbreviation): the child step is applied
+	// to every descendant-or-self node of each context node, in document
+	// order, without materialising that node-set. See optimize.
+	deep bool
 }
 
 // pathExpr is a location path, optionally rooted at a filter expression
@@ -128,11 +103,9 @@ type binaryExpr struct {
 // negExpr is unary minus.
 type negExpr struct{ operand exprNode }
 
-// literalExpr is a string literal.
-type literalExpr struct{ val string }
-
-// numberExpr is a numeric literal.
-type numberExpr struct{ val float64 }
+// literalExpr is a string or numeric literal, boxed once at compile time
+// so evaluation returns it without allocating.
+type literalExpr struct{ val object }
 
 // varExpr is a variable reference $name.
 type varExpr struct{ name string }
@@ -143,18 +116,15 @@ type funcExpr struct {
 	args []exprNode
 }
 
-func (p *pathExpr) describe() string {
-	var b strings.Builder
-	if p.absolute {
-		b.WriteString("/")
-	}
-	for i, s := range p.steps {
-		if i > 0 {
-			b.WriteString("/")
-		}
-		b.WriteString(s.axis.String())
-		b.WriteString("::")
-		b.WriteString(s.test.String())
-	}
-	return b.String()
+// attrCmpExpr is a comparison with a bare attribute step on one side
+// (@name op v, or v op @name), produced by optimize from a binaryExpr.
+// When v is not a node-set the matching attributes are compared straight
+// from Node.Attrs with the semantics compareEq/compareRel give the
+// attribute node-set, so no attribute node is materialised.
+type attrCmpExpr struct {
+	op       string
+	test     nodeTest
+	attr     exprNode // the attribute path, evaluated when v is a node-set
+	other    exprNode // v
+	attrLeft bool     // the attribute step is the left operand
 }

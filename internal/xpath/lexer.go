@@ -78,13 +78,25 @@ type lexer struct {
 	pos int
 }
 
+// lex tokenizes src. It also rejects bracket nesting past maxDepth, which
+// the parser would reject anyway, so a deeply nested input fails before
+// its token slice is built.
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
 	var tokens []token
+	depth := 0
 	for {
 		t, err := l.next()
 		if err != nil {
 			return nil, err
+		}
+		switch t.kind {
+		case tokLParen, tokLBracket:
+			if depth++; depth > maxDepth {
+				return nil, &SyntaxError{Src: src, Pos: t.pos, Msg: fmt.Sprintf("expression nested deeper than %d levels", maxDepth)}
+			}
+		case tokRParen, tokRBracket:
+			depth--
 		}
 		tokens = append(tokens, t)
 		if t.kind == tokEOF {

@@ -19,8 +19,16 @@ func Compile(src string) (*Expr, error) {
 	if p.peek().kind != tokEOF {
 		return nil, p.errf("unexpected %s after expression", p.peek().kind)
 	}
-	return &Expr{root: root, src: src}, nil
+	return &Expr{root: optimize(root), src: src}, nil
 }
+
+// maxDepth bounds the nesting of an expression: parentheses, predicates,
+// function arguments and unary minus. Parsing and evaluation recurse once
+// per level, so an unbounded input (10⁶ nested parentheses) would end in
+// a stack overflow, which recover cannot catch; past this depth Compile
+// returns a SyntaxError instead. The rules of the figures and examples
+// nest a few levels.
+const maxDepth = 256
 
 // MustCompile is Compile panicking on error, for static expressions.
 func MustCompile(src string) *Expr {
@@ -35,7 +43,20 @@ type parser struct {
 	tokens []token
 	pos    int
 	src    string
+	depth  int // current parseExpr/parseUnary recursion depth
 }
+
+// enter counts one level of recursion and fails past maxDepth; the caller
+// defers p.leave().
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxDepth {
+		return p.errf("expression nested deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) peek() token { return p.tokens[p.pos] }
 func (p *parser) peek2() token {
@@ -87,7 +108,13 @@ func (p *parser) acceptOpName(names ...string) (string, bool) {
 }
 
 // parseExpr := OrExpr
-func (p *parser) parseExpr() (exprNode, error) { return p.parseOr() }
+func (p *parser) parseExpr() (exprNode, error) {
+	defer p.leave()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	return p.parseOr()
+}
 
 func (p *parser) parseOr() (exprNode, error) {
 	left, err := p.parseAnd()
@@ -223,7 +250,12 @@ func (p *parser) parseMultiplicative() (exprNode, error) {
 }
 
 func (p *parser) parseUnary() (exprNode, error) {
-	if p.accept(tokMinus) {
+	if p.peek().kind == tokMinus {
+		defer p.leave()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		p.advance()
 		operand, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -437,7 +469,7 @@ func (p *parser) parsePrimary() (exprNode, error) {
 		if err != nil {
 			return nil, p.errf("bad number %q", t.text)
 		}
-		return &numberExpr{f}, nil
+		return &literalExpr{f}, nil
 	case tokLParen:
 		p.advance()
 		e, err := p.parseExpr()

@@ -15,10 +15,37 @@ type evaluator struct {
 	vars map[string]Sequence
 	// nsScope accumulates xmlns declarations from enclosing constructors.
 	nsScope map[string]string
+	// funcs is the function table of XPath spans, built once per
+	// Query.Eval and shared by all of its evaluators.
+	funcs map[string]xpathFunc
+}
+
+// xpathFunc is the signature of xpath.Context.Functions entries.
+type xpathFunc = func(*xpath.Context, []xpath.Object) (xpath.Object, error)
+
+// xpathFunctions returns the functions XPath spans get on top of the core
+// library: doc(uri), resolved through ctx.Docs.
+func xpathFunctions(ctx *Context) map[string]xpathFunc {
+	return map[string]xpathFunc{
+		"doc": func(_ *xpath.Context, args []xpath.Object) (xpath.Object, error) {
+			if len(args) != 1 {
+				return nil, fmt.Errorf("xq: doc() takes exactly one argument")
+			}
+			uri := xpathString(args[0])
+			if ctx.Docs == nil {
+				return nil, fmt.Errorf("xq: doc(%q): no document resolver configured", uri)
+			}
+			doc, err := ctx.Docs(uri)
+			if err != nil {
+				return nil, fmt.Errorf("xq: doc(%q): %w", uri, err)
+			}
+			return xpath.NodeSet{doc}, nil
+		},
+	}
 }
 
 func (ev *evaluator) child() *evaluator {
-	n := &evaluator{ctx: ev.ctx, vars: make(map[string]Sequence, len(ev.vars)+1), nsScope: ev.nsScope}
+	n := &evaluator{ctx: ev.ctx, vars: make(map[string]Sequence, len(ev.vars)+1), nsScope: ev.nsScope, funcs: ev.funcs}
 	for k, v := range ev.vars {
 		n.vars[k] = v
 	}
@@ -141,22 +168,7 @@ func (e *xpathExpr) eval(ev *evaluator) (Sequence, error) {
 		Vars:       vars,
 		Namespaces: ev.ctx.Namespaces,
 		DefaultNS:  ev.ctx.DefaultNS,
-		Functions: map[string]func(*xpath.Context, []xpath.Object) (xpath.Object, error){
-			"doc": func(_ *xpath.Context, args []xpath.Object) (xpath.Object, error) {
-				if len(args) != 1 {
-					return nil, fmt.Errorf("xq: doc() takes exactly one argument")
-				}
-				uri := xpathString(args[0])
-				if ev.ctx.Docs == nil {
-					return nil, fmt.Errorf("xq: doc(%q): no document resolver configured", uri)
-				}
-				doc, err := ev.ctx.Docs(uri)
-				if err != nil {
-					return nil, fmt.Errorf("xq: doc(%q): %w", uri, err)
-				}
-				return xpath.NodeSet{doc}, nil
-			},
-		},
+		Functions:  ev.funcs,
 	}
 	o, err := e.compiled.Eval(xctx)
 	if err != nil {
@@ -461,7 +473,7 @@ func (e *constructorExpr) build(ev *evaluator) (*xmltree.Node, error) {
 	for k, v := range ev.nsScope {
 		scope[k] = v
 	}
-	inner := &evaluator{ctx: ev.ctx, vars: ev.vars, nsScope: scope}
+	inner := &evaluator{ctx: ev.ctx, vars: ev.vars, nsScope: scope, funcs: ev.funcs}
 	type resolvedAttr struct {
 		name  xmltree.Name
 		value string

@@ -18,9 +18,32 @@ type qexpr interface {
 // expressions are carved out as maximal XPath spans and compiled with the
 // xpath package.
 type parser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // current parseExprSingle/constructor recursion depth
 }
+
+// maxDepth bounds the nesting of expressions (if, FLWOR, parenthesized
+// sequences, function calls, enclosed expressions) and of direct element
+// constructors. Parsing and evaluation recurse once per level, so an
+// unbounded input would end in a stack overflow, which recover cannot
+// catch; past this depth Compile returns an error instead. The XPath spans
+// inside a query are bounded by the xpath package's own limit, and the
+// look-ahead scans below give up at this depth, so a deeply nested input
+// is rejected without rescanning it once per level.
+const maxDepth = 256
+
+// enter counts one level of recursion and fails past maxDepth; the caller
+// defers p.leave().
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxDepth {
+		return p.errf("expression nested deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("xq: offset %d: %s", p.pos, fmt.Sprintf(format, args...))
@@ -123,6 +146,10 @@ func (p *parser) parseExpr() (qexpr, error) {
 }
 
 func (p *parser) parseExprSingle() (qexpr, error) {
+	defer p.leave()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	p.skipWS()
 	if p.pos >= len(p.src) {
 		return nil, p.errf("expected an expression")
@@ -190,7 +217,9 @@ func (p *parser) parenIsSequence() bool {
 			}
 			i += k + 1
 		case '(', '[':
-			depth++
+			if depth++; depth > maxDepth {
+				return false // too deep to parse either way
+			}
 		case ')', ']':
 			depth--
 			if depth == 0 {
@@ -492,7 +521,9 @@ func (p *parser) peekXQFunction() (string, bool) {
 			}
 			i += j + 1
 		case '(', '[':
-			depth++
+			if depth++; depth > maxDepth {
+				return "", false // too deep to parse either way
+			}
 		case ')', ']':
 			depth--
 			if depth == 0 {
@@ -698,6 +729,10 @@ func (p *parser) parseConstructor() (qexpr, error) {
 }
 
 func (p *parser) parseConstructorInner() (*constructorExpr, error) {
+	defer p.leave()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	if err := p.expectByte('<'); err != nil {
 		return nil, err
 	}

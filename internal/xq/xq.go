@@ -80,7 +80,7 @@ func MustCompile(src string) *Query {
 
 // Eval evaluates the query and returns the result sequence.
 func (q *Query) Eval(ctx *Context) (Sequence, error) {
-	ev := &evaluator{ctx: ctx, vars: map[string]Sequence{}}
+	ev := &evaluator{ctx: ctx, vars: map[string]Sequence{}, funcs: xpathFunctions(ctx)}
 	for k, v := range ctx.Vars {
 		ev.vars[k] = v
 	}
